@@ -22,9 +22,11 @@ Two invariants the rest of the repo leans on:
   same successful charges.
 * **Optional event stream.**  A sink (see :mod:`repro.observability`) may be
   attached with :meth:`attach_sink`; every registration, charge, denial and
-  phase mark is then emitted as a :class:`~repro.observability.events.ResourceEvent`
-  with a monotone sequence number.  With no sink attached (the default) the
-  only overhead per charge is one ``is None`` test.
+  phase mark is then handed to the sink's ``on_charge`` with a monotone
+  sequence number.  Sinks that retain events build a
+  :class:`~repro.observability.events.ResourceEvent` there; a folding sink
+  builds none.  With no sink attached (the default) the only overhead per
+  charge is one ``is None`` test.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from ..observability.events import (
     KIND_REVERSAL,
     KIND_STEP,
     KIND_TAPE,
-    ResourceEvent,
 )
 
 
@@ -126,9 +127,12 @@ class ResourceTracker:
     def attach_sink(self, sink) -> None:
         """Stream every subsequent registration/charge/denial to ``sink``.
 
-        ``sink`` needs a single method ``emit(event)``; see
-        :mod:`repro.observability.sinks`.  Attaching replaces any previous
-        sink; sequence numbers keep increasing across replacements.
+        ``sink`` is an :class:`~repro.observability.sinks.EventSink`: the
+        tracker calls its ``on_charge(tracker, seq, kind, tape_id, delta,
+        label)`` after each charge, and the default implementation builds
+        the event and calls ``emit(event)``.  Attaching replaces any
+        previous sink; sequence numbers keep increasing across
+        replacements.
         """
         self._sink = sink
 
@@ -145,21 +149,7 @@ class ResourceTracker:
         label: Optional[str] = None,
     ) -> None:
         self._seq += 1
-        self._sink.emit(
-            ResourceEvent(
-                seq=self._seq,
-                kind=kind,
-                tape_id=tape_id,
-                tape_name=self._tape_names.get(tape_id) if tape_id else None,
-                delta=delta,
-                scans=self.scans,
-                current_internal_bits=self._current_internal_bits,
-                peak_internal_bits=self._peak_internal_bits,
-                tapes_used=self._tape_count,
-                steps=self._steps,
-                label=label,
-            )
-        )
+        self._sink.on_charge(self, self._seq, kind, tape_id, delta, label)
 
     def mark_phase(self, name: str) -> None:
         """Emit a phase boundary (no-op without a sink; never charges).

@@ -7,9 +7,10 @@ Layered bottom-up:
   charge, denial and phase mark (monotone ``seq``, per-tape attribution,
   post-event totals inlined);
 * :mod:`~repro.observability.sinks` — where events go: :class:`NullSink`,
-  :class:`RingBufferSink`, :class:`JsonlFileSink`.  With no sink attached
-  (the default everywhere) the tracker pays one ``is None`` test per
-  charge and allocates nothing;
+  :class:`RingBufferSink`, :class:`JsonlFileSink`, and the
+  :class:`FoldingSink` that folds the raw deltas without building events.
+  With no sink attached (the default everywhere) the tracker pays one
+  ``is None`` test per charge and allocates nothing;
 * :mod:`~repro.observability.profile` — :class:`RunProfile` turns an event
   stream into per-phase scan/space timelines;
 * :mod:`~repro.observability.metrics` — :class:`Counter` / :class:`Gauge` /
@@ -57,6 +58,7 @@ from .metrics import (
 from .profile import SETUP_PHASE, PhaseProfile, RunProfile
 from .sinks import (
     EventSink,
+    FoldingSink,
     JsonlFileSink,
     NullSink,
     RingBufferSink,
@@ -104,6 +106,7 @@ __all__ = [
     "KIND_PHASE",
     "KIND_DENIED",
     "EventSink",
+    "FoldingSink",
     "NullSink",
     "RingBufferSink",
     "JsonlFileSink",

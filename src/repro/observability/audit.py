@@ -9,13 +9,15 @@ Section 4 bound for the streaming XML queries.
 
 :func:`run_contract_audit` sweeps each contract across decades of input
 size N, runs the algorithm under an *unenforced* tracker with a
-:class:`~repro.observability.sinks.RingBufferSink` attached, and checks
+:class:`~repro.observability.sinks.FoldingSink` attached, and checks
 
 1. the measured ``(scans, peak_internal_bits, tapes_used)`` is ``within``
    the claimed :class:`~repro.extmem.ResourceBudget` at every N,
-2. the event stream's final totals agree with ``report()`` (the stream and
-   the counters are two independent views of the same charges), and
-3. enforcement never fired (no ``denied`` events).
+2. the event stream is consistent: dense sequence numbers from 1, and the
+   totals folded from its deltas alone agree with ``report()`` (the stream
+   and the counters are two independent views of the same charges),
+3. enforcement never fired (no ``denied`` events), and
+4. the algorithm's answer is right for the instance it was given.
 
 ``python -m repro audit`` wraps this and writes ``AUDIT_contracts.json``;
 all randomness is seeded per sweep cell, so the artifact is reproducible.
@@ -27,19 +29,15 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..errors import ReproError
 from ..extmem import ResourceBudget, ResourceReport, ResourceTracker
-from .profile import RunProfile
-from .sinks import RingBufferSink
+from .sinks import EventSink, FoldingSink
 
 #: (m, n) sweep cells: m values per half, n bits per value.  N = m·(2n + 2).
 QUICK_SWEEP: Tuple[Tuple[int, int], ...] = ((4, 12), (16, 12), (64, 12))
 FULL_SWEEP: Tuple[Tuple[int, int], ...] = QUICK_SWEEP + ((256, 12), (1024, 12))
 
-#: Ring capacity for audit runs; final totals stay exact even if the buffer
-#: wraps, because every event snapshots the running totals.
-_RING_CAPACITY = 1 << 16
-
-Runner = Callable[[int, int, random.Random, RingBufferSink], Tuple[ResourceReport, ResourceBudget]]
+Runner = Callable[[int, int, random.Random, EventSink], Tuple[ResourceReport, ResourceBudget]]
 
 
 @dataclass(frozen=True)
@@ -266,6 +264,16 @@ def _sorted_instance(m: int, n: int, rng: random.Random):
 _UNENFORCED = ResourceBudget()
 
 
+class AuditAnswerError(ReproError):
+    """A contract's algorithm gave a wrong answer on its audit instance."""
+
+
+def _require(correct: bool, what: str, m: int, n: int) -> None:
+    """Raise unless ``correct``; an explicit check, so ``python -O`` keeps it."""
+    if not correct:
+        raise AuditAnswerError(f"wrong answer at m={m}, n={n}: {what}")
+
+
 # -- contract runners ------------------------------------------------------
 
 
@@ -279,6 +287,7 @@ def _run_fingerprint(m, n, rng, sink):
     result = multiset_equality_fingerprint(
         inst, rng, budget=_UNENFORCED, sink=sink
     )
+    _require(result.accepted, "equal multisets rejected", m, n)
     claimed = ResourceBudget(
         max_scans=2,
         max_internal_bits=fingerprint_space_budget(inst.size),
@@ -293,12 +302,11 @@ def _run_mergesort(m, n, rng, sink):
         sort_instance_strings,
     )
 
+    words = _random_words(m, n, rng)
     tracker = ResourceTracker()
     tracker.attach_sink(sink)
-    ordered, tracker = sort_instance_strings(
-        _random_words(m, n, rng), tracker=tracker
-    )
-    assert ordered == sorted(ordered)
+    ordered, tracker = sort_instance_strings(words, tracker=tracker)
+    _require(ordered == sorted(words), "output is not the sorted input", m, n)
     # tapes: input + three work tapes + the sorted output
     claimed = ResourceBudget(
         max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
@@ -314,6 +322,7 @@ def _run_checksort(m, n, rng, sink):
 
     inst = _sorted_instance(m, n, rng)
     result = check_sort_deterministic(inst, sink=sink)
+    _require(result.accepted, "sorted instance rejected", m, n)
     # tapes: first + second + three work tapes + the sorted output
     claimed = ResourceBudget(
         max_scans=checksort_reversal_budget(m),
@@ -328,6 +337,7 @@ def _run_onepass(m, n, rng, sink):
 
     inst = _equal_instance(m, n, rng)
     result = one_pass_multiset_test(inst, sink=sink)
+    _require(result.accepted, "equal multisets rejected", m, n)
     claimed = ResourceBudget(max_scans=1, max_internal_bits=0, max_tapes=1)
     return result.report, claimed
 
@@ -337,8 +347,9 @@ def _run_lasvegas(m, n, rng, sink):
     from ..algorithms.mergesort_tape import mergesort_scan_budget
 
     sorter = LasVegasSorter(failure_probability=0.0)
-    result = sorter.sort(_random_words(m, n, rng), rng, sink=sink)
-    assert result.answered
+    words = _random_words(m, n, rng)
+    result = sorter.sort(words, rng, sink=sink)
+    _require(result.output == sorted(words), "output is not the sorted input", m, n)
     claimed = ResourceBudget(
         max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
     )
@@ -359,7 +370,8 @@ def _run_relational(m, n, rng, sink):
     evaluator = StreamingEvaluator(db)
     evaluator.tracker.attach_sink(sink)
     result = evaluator.evaluate(query)
-    assert result.is_empty  # equal halves ⇒ empty symmetric difference
+    # equal halves ⇒ empty symmetric difference
+    _require(result.is_empty, "symmetric difference not empty", m, n)
     claimed = ResourceBudget(
         max_scans=streaming_scan_budget(query, db.total_size()),
         max_internal_bits=0,
@@ -389,7 +401,8 @@ def _run_xml_figure1(m, n, rng, sink):
     tracker.attach_sink(sink)
     token_tape, tracker = instance_to_token_tape(inst, tracker)
     answer = figure1_filter_streaming(token_tape, tracker)
-    assert answer.answer is False  # equal halves ⇒ set1 ⊆ set2
+    # equal halves ⇒ set1 ⊆ set2
+    _require(answer.answer is False, "filter fired on equal halves", m, n)
     return answer.report, _xml_claimed(inst)
 
 
@@ -404,7 +417,8 @@ def _run_xml_theorem12(m, n, rng, sink):
     tracker.attach_sink(sink)
     token_tape, tracker = instance_to_token_tape(inst, tracker)
     answer = theorem12_query_streaming(token_tape, tracker)
-    assert answer.answer is True  # equal halves ⇒ equal sets
+    # equal halves ⇒ equal sets
+    _require(answer.answer is True, "equal sets reported unequal", m, n)
     return answer.report, _xml_claimed(inst)
 
 
@@ -466,13 +480,13 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
     record is byte-identical at any ``jobs``.
     """
     rng = random.Random(f"audit:{spec.name}:{m}:{n}")
-    sink = RingBufferSink(_RING_CAPACITY)
-    report, claimed = spec.run(m, n, rng, sink)
-    profile = RunProfile.from_events(sink.events())
+    fold = FoldingSink()
+    report, claimed = spec.run(m, n, rng, fold)
     consistent = (
-        profile.final_scans == report.scans
-        and profile.final_peak_internal_bits == report.peak_internal_bits
-        and profile.final_tapes_used == report.tapes_used
+        fold.dense
+        and fold.scans == report.scans
+        and fold.peak_internal_bits == report.peak_internal_bits
+        and fold.tapes_used == report.tapes_used
     )
     return ContractCheck(
         contract=spec.name,
@@ -481,8 +495,8 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
         input_size=_instance_size(m, n),
         report=report,
         claimed=claimed,
-        events=len(sink) + sink.dropped,
-        denied=profile.denied_total,
+        events=fold.events,
+        denied=fold.denied,
         event_stream_consistent=consistent,
     )
 

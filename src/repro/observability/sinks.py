@@ -1,17 +1,24 @@
 """Pluggable event sinks for the tracker's observability stream.
 
-A sink is anything with an ``emit(event)`` method; these three cover the
-common cases:
+The tracker hands every registration, charge, denial and phase mark to
+its sink as raw fields through one entry point,
+:meth:`EventSink.on_charge`.  The default ``on_charge`` builds a
+:class:`~repro.observability.events.ResourceEvent` from the tracker's
+post-charge totals and passes it to :meth:`EventSink.emit`, so a sink that
+*retains* events only implements ``emit``.  These cover the common cases:
 
 * :class:`NullSink` — accepts and discards.  Useful to measure the pure
   emission overhead, or as an explicit "observed but unrecorded" marker.
-* :class:`RingBufferSink` — keeps the last ``capacity`` events in memory;
-  the default harness sink (bounded memory on arbitrarily long runs).
+* :class:`RingBufferSink` — keeps the last ``capacity`` events in memory
+  (bounded memory on arbitrarily long runs).
 * :class:`JsonlFileSink` — appends one JSON object per line; the durable
   form consumed by external tooling and checked by the CI audit job.
+* :class:`FoldingSink` — overrides ``on_charge`` to fold the raw deltas
+  into running totals and never builds an event; the contract audit's
+  sink.
 
-With **no** sink attached the tracker skips event construction entirely —
-the hot path pays one ``is None`` test per charge, which keeps the
+With **no** sink attached the tracker skips emission entirely — the hot
+path pays one ``is None`` test per charge, which keeps the
 ``BENCH_engine.json`` gate unaffected.
 """
 
@@ -21,11 +28,48 @@ import json
 from collections import deque
 from typing import IO, Iterable, Iterator, List, Optional, Union
 
-from .events import ResourceEvent
+from .events import (
+    KIND_DENIED,
+    KIND_INTERNAL,
+    KIND_REVERSAL,
+    KIND_TAPE,
+    ResourceEvent,
+)
 
 
 class EventSink:
-    """Interface: override :meth:`emit`; :meth:`close` is optional."""
+    """Interface: override :meth:`emit`; :meth:`close` is optional.
+
+    The tracker calls :meth:`on_charge` once per registration, charge,
+    denial or phase mark.  Override it instead of :meth:`emit` to consume
+    the raw fields without building an event (see :class:`FoldingSink`).
+    """
+
+    def on_charge(
+        self,
+        tracker,
+        seq: int,
+        kind: str,
+        tape_id: Optional[int],
+        delta: int,
+        label: Optional[str],
+    ) -> None:
+        """Build the event from ``tracker``'s post-charge totals and emit it."""
+        self.emit(
+            ResourceEvent(
+                seq=seq,
+                kind=kind,
+                tape_id=tape_id,
+                tape_name=tracker.tape_name(tape_id) if tape_id else None,
+                delta=delta,
+                scans=tracker.scans,
+                current_internal_bits=tracker.current_internal_bits,
+                peak_internal_bits=tracker.peak_internal_bits,
+                tapes_used=tracker.tapes_used,
+                steps=tracker.steps,
+                label=label,
+            )
+        )
 
     def emit(self, event: ResourceEvent) -> None:
         raise NotImplementedError
@@ -142,6 +186,53 @@ class JsonlFileSink(EventSink):
         self._stream.flush()
         if self._owns_stream:
             self._stream.close()
+
+
+class FoldingSink(EventSink):
+    """Folds the raw charge deltas into running totals; builds no events.
+
+    Starting from a fresh tracker's state, it rebuilds ``scans``
+    (``1 + Σ`` reversal deltas), current and peak internal bits and tape
+    registrations from the deltas alone, and counts events and denials.
+    A denied charge is only counted: under check-then-commit it moves no
+    total.  ``dense`` turns ``False`` if the sequence numbers are not
+    exactly ``1, 2, 3, …`` — an emission lost after its number was drawn,
+    or a sink that replaced another mid-stream.  Charges made before any
+    sink was attached draw no number; they show up as totals that
+    disagree with the tracker's.  The totals are a second, independent
+    view of the charges, never a read of the tracker's counters, which is
+    what lets the contract audit check one against the other.
+    """
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.denied = 0
+        self.reversals = 0
+        self.current_internal_bits = 0
+        self.peak_internal_bits = 0
+        self.tapes_used = 0
+        self.dense = True
+
+    def on_charge(self, tracker, seq, kind, tape_id, delta, label) -> None:
+        self.events += 1
+        if seq != self.events:
+            self.dense = False
+        if kind == KIND_INTERNAL:
+            bits = self.current_internal_bits + delta
+            self.current_internal_bits = bits
+            if bits > self.peak_internal_bits:
+                self.peak_internal_bits = bits
+        elif kind == KIND_REVERSAL:
+            self.reversals += delta
+        elif kind == KIND_TAPE:
+            self.tapes_used += delta
+        elif kind == KIND_DENIED:
+            self.denied += 1
+
+    @property
+    def scans(self) -> int:
+        """The folded ``1 + Σ reversals``."""
+        return 1 + self.reversals
 
 
 def replay_jsonl(

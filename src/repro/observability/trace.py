@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from .events import KIND_DENIED, KIND_PHASE, ResourceEvent
 from .profile import SETUP_PHASE
+from .sinks import EventSink
 
 __all__ = ["Span", "Tracer", "EngineProbe"]
 
@@ -246,7 +247,7 @@ class Tracer:
         return lines
 
 
-class EngineProbe:
+class EngineProbe(EventSink):
     """One hook object observing both layers of a run.
 
     *As an event sink* (attach with ``tracker.attach_sink(probe)`` or pass

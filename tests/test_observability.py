@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.errors import SpaceBudgetExceeded
+from repro.errors import ResourceError, SpaceBudgetExceeded
 from repro.extmem import (
     InternalMemory,
     RecordTape,
@@ -18,6 +22,8 @@ from repro.observability import (
     KIND_PHASE,
     KIND_REVERSAL,
     KIND_TAPE,
+    EventSink,
+    FoldingSink,
     JsonlFileSink,
     NullSink,
     RingBufferSink,
@@ -26,9 +32,12 @@ from repro.observability import (
 )
 from repro.observability.audit import (
     CONTRACTS,
+    AuditAnswerError,
+    run_audit_cell,
     run_contract_audit,
     write_audit_json,
 )
+from tests.settings_profiles import STANDARD_SETTINGS
 
 
 def _tracked_run(sink):
@@ -763,3 +772,205 @@ class TestCliTrace:
 
         assert main(["trace", "no-such-target"]) == 2
         assert "known targets" in capsys.readouterr().err
+
+
+def _spec(name):
+    return next(spec for spec in CONTRACTS if spec.name == name)
+
+
+class TestFoldingSink:
+    def test_a_late_sink_sees_a_gap_or_a_total_mismatch(self):
+        tracker = ResourceTracker()
+        tracker.register_tape("unobserved")
+        late = FoldingSink()
+        tracker.attach_sink(late)
+        tracker.charge_step()
+        assert late.dense  # no sink drew a seq for the registration...
+        assert late.tapes_used != tracker.tapes_used  # ...but it is missing
+
+        tracker.attach_sink(NullSink())
+        tracker.charge_step()  # seq 2 goes to the replaced sink
+        replacing = FoldingSink()
+        tracker.attach_sink(replacing)
+        tracker.charge_step()
+        assert not replacing.dense
+
+
+class TestAuditConsistencyHasTeeth:
+    """The audit's stream check rebuilds totals from deltas alone, so a
+    charge whose emission is lost or wrong is caught, even though every
+    counter the tracker reports is still right."""
+
+    def test_dropped_reversal_emission_is_caught(self, monkeypatch):
+        original = ResourceTracker.charge_reversal
+        calls = []
+
+        def dropping(self, tape_id):
+            calls.append(tape_id)
+            if len(calls) != 2:
+                return original(self, tape_id)
+            sink, self._sink = self._sink, None  # charge, but emit nothing
+            try:
+                original(self, tape_id)
+            finally:
+                self._sink = sink
+
+        monkeypatch.setattr(ResourceTracker, "charge_reversal", dropping)
+        check = run_audit_cell(_spec("mergesort"), 64, 12)
+        assert len(calls) > 2  # the dropped emission was mid-run
+        assert check.within
+        assert not check.event_stream_consistent
+        assert not check.ok
+
+    def test_wrong_delta_on_the_peak_setting_charge_is_caught(self, monkeypatch):
+        original = ResourceTracker.charge_internal
+        skewed = []
+
+        class OffByOne(EventSink):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def on_charge(self, tracker, seq, kind, tape_id, delta, label):
+                self.inner.on_charge(tracker, seq, kind, tape_id, delta + 1, label)
+
+        def skewing(self, delta_bits):
+            sets_peak = (
+                self.current_internal_bits + delta_bits > self.peak_internal_bits
+            )
+            if skewed or not sets_peak:
+                return original(self, delta_bits)
+            skewed.append(delta_bits)
+            sink, self._sink = self._sink, OffByOne(self._sink)
+            try:
+                original(self, delta_bits)
+            finally:
+                self._sink = sink
+
+        monkeypatch.setattr(ResourceTracker, "charge_internal", skewing)
+        check = run_audit_cell(_spec("fingerprint"), 16, 12)
+        assert skewed
+        assert check.within
+        assert not check.event_stream_consistent
+        assert not check.ok
+
+
+class TestAuditAnswerChecks:
+    """Every contract runner checks its algorithm's answer explicitly."""
+
+    def test_wrong_xml_answer_raises(self, monkeypatch):
+        import dataclasses
+
+        import repro.queries.xml.streaming as xml_streaming
+
+        original = xml_streaming.theorem12_query_streaming
+
+        def flipped(token_tape, tracker):
+            answer = original(token_tape, tracker)
+            return dataclasses.replace(answer, answer=not answer.answer)
+
+        monkeypatch.setattr(xml_streaming, "theorem12_query_streaming", flipped)
+        with pytest.raises(AuditAnswerError):
+            run_audit_cell(_spec("xml-theorem12"), 4, 12)
+
+    def test_answer_checks_survive_python_O(self):
+        script = (
+            "import repro.algorithms.mergesort_tape as ms\n"
+            "from repro.observability.audit import CONTRACTS, AuditAnswerError,"
+            " run_audit_cell\n"
+            "ms.sort_instance_strings = lambda values, *, tracker: "
+            "(list(values), tracker)\n"
+            "spec = next(s for s in CONTRACTS if s.name == 'mergesort')\n"
+            "try:\n"
+            "    run_audit_cell(spec, 16, 12)\n"
+            "except AuditAnswerError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "raised"
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("tape"), st.sampled_from([None, "a", "b"])),
+        st.tuples(st.just("reversal"), st.integers(0, 7)),
+        st.tuples(st.just("internal"), st.integers(-12, 12)),
+        st.tuples(st.just("step"), st.integers(1, 5)),
+        st.tuples(
+            st.just("batch"),
+            st.tuples(st.integers(0, 7), st.integers(0, 3),
+                      st.integers(-12, 12), st.integers(0, 5)),
+        ),
+        st.tuples(st.just("phase"), st.sampled_from(["p", "q"])),
+    ),
+    max_size=40,
+)
+
+
+def _drive(tracker, ops):
+    """Apply ``ops`` to ``tracker``; budget denials are caught, and every
+    op is made valid for the tracker's state (frees never go negative,
+    reversals name a registered tape)."""
+    for op, arg in ops:
+        try:
+            if op == "tape":
+                tracker.register_tape(arg)
+            elif op == "reversal" and tracker.tapes_used:
+                tracker.charge_reversal(arg % tracker.tapes_used + 1)
+            elif op == "internal":
+                tracker.charge_internal(max(arg, -tracker.current_internal_bits))
+            elif op == "step":
+                tracker.charge_step(arg)
+            elif op == "batch":
+                tape, reversals, internal, steps = arg
+                if not tracker.tapes_used:
+                    reversals = 0
+                tracker.charge_batch(
+                    tape_id=tape % tracker.tapes_used + 1 if reversals else None,
+                    reversals=reversals,
+                    internal_delta=max(internal, -tracker.current_internal_bits),
+                    steps=steps,
+                )
+            elif op == "phase":
+                tracker.mark_phase(arg)
+        except ResourceError:
+            pass
+
+
+class TestFoldAgreesWithRingAndTracker:
+    @STANDARD_SETTINGS
+    @given(
+        ops=_OPS,
+        max_scans=st.integers(1, 6),
+        max_bits=st.integers(0, 24),
+        max_tapes=st.integers(0, 3),
+    )
+    def test_fold_ring_and_report_agree(self, ops, max_scans, max_bits, max_tapes):
+        budget = ResourceBudget(
+            max_scans=max_scans, max_internal_bits=max_bits, max_tapes=max_tapes
+        )
+        folded, ringed = ResourceTracker(budget), ResourceTracker(budget)
+        fold, ring = FoldingSink(), RingBufferSink()
+        folded.attach_sink(fold)
+        ringed.attach_sink(ring)
+        _drive(folded, ops)
+        _drive(ringed, ops)
+
+        report = folded.report()
+        assert ringed.report() == report
+        profile = RunProfile.from_events(ring.events())
+        assert fold.dense and ring.dropped == 0
+        assert fold.events == len(ring)
+        assert fold.denied == profile.denied_total
+        assert fold.scans == profile.final_scans == report.scans
+        assert (
+            fold.peak_internal_bits
+            == profile.final_peak_internal_bits
+            == report.peak_internal_bits
+        )
+        assert fold.tapes_used == profile.final_tapes_used == report.tapes_used
+        assert fold.current_internal_bits == folded.current_internal_bits
