@@ -43,10 +43,6 @@ class _RunSeparator:
 RUN_SEP = _RunSeparator()
 
 
-def _default_key(record: Any) -> Any:
-    return record
-
-
 def _distribute(
     source: RecordTape, left: RecordTape, right: RecordTape
 ) -> int:
@@ -54,20 +50,20 @@ def _distribute(
 
     Returns the number of runs seen.  One forward scan of each tape.
     """
-    targets = (left, right)
+    writes = (left.step_write, right.step_write)
     run_index = 0
     in_run = False
     for record in source.scan():
         if record is RUN_SEP:
             if in_run:
-                targets[run_index % 2].step_write(RUN_SEP)
+                writes[run_index % 2](RUN_SEP)
                 run_index += 1
                 in_run = False
             continue
         in_run = True
-        targets[run_index % 2].step_write(record)
+        writes[run_index % 2](record)
     if in_run:  # unterminated final run
-        targets[run_index % 2].step_write(RUN_SEP)
+        writes[run_index % 2](RUN_SEP)
         run_index += 1
     return run_index
 
@@ -76,34 +72,39 @@ def _merge_round(
     left: RecordTape,
     right: RecordTape,
     target: RecordTape,
-    key: Callable[[Any], Any],
+    key: Optional[Callable[[Any], Any]],
 ) -> None:
     """Merge runs pairwise from ``left``/``right`` onto ``target``.
 
     One forward scan of each tape; internal state is one candidate record
-    per source tape.
+    per source tape.  ``key=None`` compares the records themselves.
     """
-    a = left.step_read()
-    b = right.step_read()
+    read_left = left.step_read
+    read_right = right.step_read
+    write = target.step_write
+    a = read_left()
+    b = read_right()
     while a is not None or b is not None:
         # merge one run-pair (either side may already be exhausted)
         a_live = a is not None and a is not RUN_SEP
         b_live = b is not None and b is not RUN_SEP
         while a_live or b_live:
-            take_left = a_live and (not b_live or key(a) <= key(b))
+            take_left = a_live and (
+                not b_live or (a <= b if key is None else key(a) <= key(b))
+            )
             if take_left:
-                target.step_write(a)
-                a = left.step_read()
+                write(a)
+                a = read_left()
                 a_live = a is not None and a is not RUN_SEP
             else:
-                target.step_write(b)
-                b = right.step_read()
+                write(b)
+                b = read_right()
                 b_live = b is not None and b is not RUN_SEP
-        target.step_write(RUN_SEP)
+        write(RUN_SEP)
         if a is RUN_SEP:
-            a = left.step_read()
+            a = read_left()
         if b is RUN_SEP:
-            b = right.step_read()
+            b = read_right()
 
 
 def tape_merge_sort(
@@ -115,21 +116,22 @@ def tape_merge_sort(
     """Sort the records of ``input_tape`` with O(log N) reversals.
 
     Returns a fresh tape (registered on ``tracker``) holding the records in
-    ascending ``key`` order; the input tape is consumed (left positioned at
-    its end).  The caller can bound the whole computation by attaching a
-    :class:`ResourceBudget` to ``tracker``.
+    ascending ``key`` order (``key=None`` orders the records themselves);
+    the input tape is consumed (left positioned at its end).  The caller
+    can bound the whole computation by attaching a :class:`ResourceBudget`
+    to ``tracker``.
     """
-    key = key or _default_key
     work_a = RecordTape(tracker=tracker, name="sort-a")
     work_left = RecordTape(tracker=tracker, name="sort-b")
     work_right = RecordTape(tracker=tracker, name="sort-c")
 
     # Round 0: every record becomes a singleton run on tape A.
+    write_a = work_a.step_write
     for record in input_tape.scan():
         if record is RUN_SEP:
             raise ReproError("input tape already contains run separators")
-        work_a.step_write(record)
-        work_a.step_write(RUN_SEP)
+        write_a(record)
+        write_a(RUN_SEP)
 
     while True:
         work_a.rewind()
@@ -149,9 +151,10 @@ def tape_merge_sort(
     # strip separators into the output tape (one scan)
     output = RecordTape(tracker=tracker, name="sorted")
     work_left.rewind()
+    write_out = output.step_write
     for record in work_left.scan():
         if record is not RUN_SEP:
-            output.step_write(record)
+            write_out(record)
     return output
 
 

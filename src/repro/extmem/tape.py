@@ -118,12 +118,17 @@ class SymbolTape:
     # -- convenience -------------------------------------------------------
 
     def seek_start(self) -> None:
-        """Walk the head back to cell 0 (at most one reversal)."""
-        while self._head > 0:
-            self.move(-1)
-        if self._direction == -1 and self._head == 0:
-            # make the next forward read well-defined without a hidden flip
-            pass
+        """Jump to cell 0, charged as the walk left would be.
+
+        That is one reversal if the head faces right, charged before the
+        head moves (a denied reversal leaves the tape as it was); at cell 0
+        nothing happens.
+        """
+        if self._head > 0:
+            if self._direction != -1:
+                self.tracker.charge_reversal(self.tape_id)
+                self._direction = -1
+            self._head = 0
 
     def scan_right(self) -> Iterator[str]:
         """Yield symbols moving right until the written prefix is exhausted."""

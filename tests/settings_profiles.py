@@ -10,7 +10,11 @@ Tiers (each instance is usable directly as a decorator under ``@given``):
 - ``SIMD_SETTINGS``: 60 examples — SIMD cohort-regrouping invariance
   properties, where every example runs whole batches on two tiers and a
   counterexample means the vectorized kernels drifted from the serial
-  semantics.
+  semantics;
+- ``STATE_MACHINE_SETTINGS``: 100 runs of up to 50 steps each — Hypothesis
+  ``RuleBasedStateMachine`` differentials of a stateful component against a
+  small reference model, where a counterexample is a step sequence after
+  which the two disagree.
 
 All tiers disable the deadline and the too-slow health check: tape-level
 simulation cost is dominated by the generated machine, not by a bug, and
@@ -25,3 +29,4 @@ DIFFERENTIAL_SETTINGS = settings(max_examples=100, **_BASE)
 STANDARD_SETTINGS = settings(max_examples=50, **_BASE)
 QUICK_SETTINGS = settings(max_examples=20, **_BASE)
 SIMD_SETTINGS = settings(max_examples=60, **_BASE)
+STATE_MACHINE_SETTINGS = settings(max_examples=100, stateful_step_count=50, **_BASE)

@@ -17,6 +17,7 @@ from repro.algorithms.checksort import checksort_reversal_budget
 from repro.algorithms.mergesort_tape import RUN_SEP
 from repro.errors import ReproError
 from repro.extmem import RecordTape, ResourceBudget, ResourceTracker
+from repro.observability import RingBufferSink
 from repro.problems import (
     CHECK_SORT,
     MULTISET_EQUALITY,
@@ -26,11 +27,29 @@ from repro.problems import (
     random_equal_instance,
     random_unequal_instance,
 )
+from tests.settings_profiles import STANDARD_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=8), max_size=24)
 
 
+def _sorted_with(values, key):
+    """Output, report and event stream of one :func:`tape_merge_sort` run."""
+    tracker = ResourceTracker()
+    ring = RingBufferSink()
+    tracker.attach_sink(ring)
+    out = tape_merge_sort(RecordTape(values, tracker=tracker), tracker, key=key)
+    return out.snapshot(), tracker.report(), ring.events()
+
+
 class TestTapeMergeSort:
+    @STANDARD_SETTINGS
+    @given(values=st.one_of(bit_words, st.lists(st.integers(-9, 9), max_size=40)))
+    def test_no_key_equals_identity_key(self, values):
+        """``key=None`` compares records directly, charging exactly the same."""
+        plain = _sorted_with(values, None)
+        assert plain == _sorted_with(values, lambda record: record)
+        assert plain[0] == sorted(values)
+
     def test_sorts_basic(self):
         out, _ = sort_instance_strings(["10", "01", "11", "00"])
         assert out == ["00", "01", "10", "11"]

@@ -511,6 +511,35 @@ class TestSymbolTape:
         assert t.head == 0
         assert t.reversals == 1
 
+    @STANDARD_SETTINGS
+    @given(
+        moves=st.lists(st.sampled_from([1, -1]), max_size=12),
+        max_scans=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_seek_start_charged_exactly_as_the_walk(self, moves, max_scans):
+        """The O(1) seek matches a ``move(-1)`` walk: charges, geometry, denials."""
+        budget = None if max_scans is None else ResourceBudget(max_scans=max_scans)
+        seeking = SymbolTape("abcdef", tracker=ResourceTracker(budget))
+        walking = SymbolTape("abcdef", tracker=ResourceTracker(budget))
+
+        def walk():
+            while walking.head > 0:
+                walking.move(-1)
+
+        outcomes = []
+        for tape, seek in ((seeking, seeking.seek_start), (walking, walk)):
+            try:
+                for direction in moves:
+                    tape.move(direction)
+                seek()
+                outcomes.append(None)
+            except ReversalBudgetExceeded as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        for attr in ("head", "direction", "space_used", "reversals"):
+            assert getattr(seeking, attr) == getattr(walking, attr)
+        assert seeking.tracker.report() == walking.tracker.report()
+
     def test_scan_right(self):
         t = SymbolTape("abc")
         assert "".join(t.scan_right()) == "abc"
