@@ -64,18 +64,26 @@ class InternalMemory:
         ``current_internal_bits`` all in their pre-store state — the two
         views can never desynchronize.
         """
-        new_cost = bit_cost(value)  # may raise; nothing charged yet
-        old_cost = self._charges.get(name, 0)
-        self.tracker.charge_internal(new_cost - old_cost)
+        # Plain ints (almost every register write) are costed inline; the
+        # result equals bit_cost(value), which handles every other type.
+        if type(value) is int:
+            new_cost = value.bit_length() or 1
+        else:
+            new_cost = bit_cost(value)  # may raise; nothing charged yet
+        self.tracker.charge_internal(new_cost - self._charges.get(name, 0))
         # -- commit point: nothing below can fail --
         self._registers[name] = value
         self._charges[name] = new_cost
 
     def load(self, name: str) -> Any:
-        """Read a register (KeyError via ReproError if absent)."""
-        if name not in self._registers:
-            raise ReproError(f"internal memory has no register {name!r}")
-        return self._registers[name]
+        """Read a register; raises :class:`~repro.errors.ReproError` if absent.
+
+        (Only ``del mem[name]`` of an absent register raises ``KeyError``.)
+        """
+        try:
+            return self._registers[name]
+        except KeyError:
+            raise ReproError(f"internal memory has no register {name!r}") from None
 
     def free(self, name: str) -> None:
         """Drop a register, releasing its space charge."""
@@ -90,10 +98,10 @@ class InternalMemory:
             self.free(name)
 
     def __setitem__(self, name: str, value: Any) -> None:
+        # Every write enters through store, so wrapping store sees them all.
         self.store(name, value)
 
-    def __getitem__(self, name: str) -> Any:
-        return self.load(name)
+    __getitem__ = load
 
     def __delitem__(self, name: str) -> None:
         if name not in self._registers:

@@ -217,22 +217,25 @@ class ResourceTracker:
         current and the peak counter unchanged.
         """
         prospective = self._current_internal_bits + delta_bits
-        if prospective < 0:
-            raise ValueError("internal memory usage went negative")
-        if (
-            prospective > self._peak_internal_bits
-            and self.budget is not None
-            and self.budget.max_internal_bits is not None
-            and prospective > self.budget.max_internal_bits
-        ):
-            if self._sink is not None:
-                self._emit(KIND_DENIED, delta=delta_bits, label="internal")
-            raise SpaceBudgetExceeded(prospective, self.budget.max_internal_bits)
-        self._current_internal_bits = prospective
         if prospective > self._peak_internal_bits:
+            budget = self.budget
+            if (
+                budget is not None
+                and budget.max_internal_bits is not None
+                and prospective > budget.max_internal_bits
+            ):
+                if self._sink is not None:
+                    self._emit(KIND_DENIED, delta=delta_bits, label="internal")
+                raise SpaceBudgetExceeded(prospective, budget.max_internal_bits)
             self._peak_internal_bits = prospective
-        if self._sink is not None:
-            self._emit(KIND_INTERNAL, delta=delta_bits)
+        elif prospective < 0:  # the peak is never negative, so only here
+            raise ValueError("internal memory usage went negative")
+        self._current_internal_bits = prospective
+        # The hottest charge: emit inline rather than through ``_emit``.
+        sink = self._sink
+        if sink is not None:
+            self._seq = seq = self._seq + 1
+            sink.on_charge(self, seq, KIND_INTERNAL, None, delta_bits, None)
 
     def charge_step(self, count: int = 1) -> None:
         """Record machine steps (not budgeted; used for Lemma 3 analytics)."""
